@@ -13,7 +13,7 @@ from repro.schemes import default_schemes
 
 def main() -> None:
     bers = log_space(1e-7, 1e-4, 7)
-    print("building scheme models (measures decoder conditionals once)...")
+    print("building scheme models (measures bit-code decoder conditionals once)...")
     sweep = reliability_sweep(default_schemes(), bers, samples=300, seed=0)
 
     print()

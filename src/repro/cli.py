@@ -725,7 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--bers", nargs="+", type=float,
                        default=[1e-6, 1e-5, 1e-4], metavar="P")
     p_rel.add_argument("--samples", type=int, default=400,
-                       help="decoder-conditional measurement samples")
+                       help="decoder samples per error count for the "
+                            "bit-code tables (IECC-SEC, XED, rank SEC-DED); "
+                            "PAIR and DUO use closed-form RS floors")
     p_rel.set_defaults(func=cmd_reliability)
 
     def add_obs_out(p: argparse.ArgumentParser) -> None:
@@ -761,7 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="splitting level target (default: the scheme's "
                              "failure radius)")
     p_rare.add_argument("--samples", type=int, default=400,
-                        help="decoder-conditional measurement samples")
+                        help="decoder samples per error count for the "
+                             "bit-code tables (IECC-SEC, XED, rank SEC-DED); "
+                             "PAIR and DUO use closed-form RS floors")
     p_rare.add_argument("--seed", type=int, default=0)
     p_rare.add_argument("--workers", type=int, default=1)
     p_rare.add_argument("--json", action="store_true",

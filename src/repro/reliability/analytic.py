@@ -1,12 +1,20 @@
-"""Semi-analytic reliability models: exact count statistics x measured
-conditional decoder behaviour.
+"""Semi-analytic reliability models: exact count statistics x conditional
+decoder behaviour.
 
 For the i.i.d. weak-cell process with per-bit probability ``p``, the number
-of errors per codeword is exactly binomial; the conditional outcome given a
-count is measured once from the real decoder
-(:mod:`repro.reliability.conditional`).  Composing the two yields SDC/DUE
-probabilities per 64-byte line read, valid down to arbitrarily small
-probabilities - this is what regenerates the paper's reliability sweep (F2).
+of errors per codeword is exactly binomial.  The outcome given a count comes
+from one of two sources:
+
+* bit codes (IECC-SEC, XED, rank SEC-DED) use tables measured once from the
+  real decoder (:mod:`repro.reliability.conditional`);
+* RS codes (DUO, PAIR) use closed forms: counts ``j <= t`` are always
+  corrected (guaranteed by the distance) and counts beyond ``t`` detect
+  except for the analytic miscorrection floor (:func:`rs_decodable_fraction`),
+  which lies far below anything sampling could resolve.
+
+Composing the two yields SDC/DUE probabilities per 64-byte line read, valid
+down to arbitrarily small probabilities - this is what regenerates the
+paper's reliability sweep (F2).
 
 Each model is validated against the decoder-in-the-loop engine at elevated
 BER in the integration test suite.
@@ -27,7 +35,7 @@ from ..schemes.no_ecc import NoEcc
 from ..schemes.pair import PairScheme
 from ..schemes.rank import RankSecDed
 from ..schemes.xed import Xed
-from .conditional import measure_bit_code, measure_symbol_code
+from .conditional import measure_bit_code
 from .stats import at_least_one, binom_pmf, binom_tail
 
 
@@ -57,29 +65,25 @@ def rs_decodable_fraction(n: int, r_eff: int, t: int, q: int = 256) -> float:
     the fraction of syndromes claimed by radius-``t`` balls around
     codewords: ``sum_{i<=t} C(n,i)(q-1)^i / q^r``.  This is the standard
     estimate (tight for RS codes) and is far below what sampling can
-    measure - the models stitch it into the measured conditional tables for
-    counts beyond ``t``.
+    measure - the RS models use it as the conditional outcome for every count
+    beyond ``t``.
     """
     total = sum(math.comb(n, i) * (q - 1) ** i for i in range(t + 1))
     return float(total) / float(q) ** r_eff
 
 
-def _with_rs_floor(
-    table_flag: np.ndarray,
-    table_bad: np.ndarray,
-    t: int,
-    miscorrect: float,
-    window_factor: float = 1.0,
+def _rs_floor(
+    t: int, miscorrect: float, window_factor: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Override measured conditionals with exact/analytic values.
+    """Closed-form (flag, bad) conditionals of a bounded-distance RS decoder.
 
     Counts ``j <= t`` are always corrected (guaranteed by the distance);
     counts beyond ``t`` detect except for the analytic miscorrection floor.
+    The length is part of the result: :func:`_mix` and the rare-event
+    sampler treat every count past ``t + 8`` like the last entry.
     """
-    flag = table_flag.copy()
-    bad = table_bad.copy()
-    flag[: t + 1] = 0.0
-    bad[: t + 1] = 0.0
+    flag = np.zeros(t + 9)
+    bad = np.zeros(t + 9)
     flag[t + 1 :] = 1.0 - miscorrect
     bad[t + 1 :] = miscorrect * window_factor
     return flag, bad
@@ -169,19 +173,11 @@ class DuoModel(ReliabilityModel):
 
     def __init__(self, scheme: Duo, samples: int = 1500, seed: int = 0):
         super().__init__(scheme, samples, seed)
-        self.table = measure_symbol_code(
-            scheme.code,
-            j_max=scheme.code.t + 8,
-            samples=samples,
-            seed=seed,
-        )
         code = scheme.code
         miscorrect = rs_decodable_fraction(code.n, code.r, code.t)
         # A miscorrected word is a different codeword: >= d_min symbols
         # differ, virtually certain to touch the 64 data symbols.
-        self._flag, self._bad = _with_rs_floor(
-            self.table.p_flag, self.table.p_bad, code.t, miscorrect
-        )
+        self._flag, self._bad = _rs_floor(code.t, miscorrect)
 
     def line_probs(self, ber: float) -> dict[str, float]:
         q_sym = -math.expm1(8 * math.log1p(-ber))  # 1 - (1-p)^8
@@ -201,14 +197,7 @@ class PairModel(ReliabilityModel):
         # (orientation-dependent: 2 for pin-aligned, 16 for beat-aligned)
         first_cw = scheme.layout.codewords_of_access(0)[0]
         lo, hi = scheme.layout.data_symbol_range_of_access(first_cw, 0)
-        self.window_symbols = max(1, hi - lo)
-        self.table = measure_symbol_code(
-            scheme.code,
-            j_max=scheme.code.t + 8,
-            samples=samples,
-            seed=seed,
-            window_symbols=self.window_symbols,
-        )
+        window_symbols = max(1, hi - lo)
         inner = scheme.code.inner
         # Two-pass extended decoder: case A uses r+1 syndromes at radius
         # (r+1)//2, case B uses r syndromes at radius (r-1)//2.
@@ -217,11 +206,10 @@ class PairModel(ReliabilityModel):
         ) + rs_decodable_fraction(inner.n, inner.r, (inner.r - 1) // 2)
         d_min = scheme.code.d_min
         window_factor = -math.expm1(
-            d_min * math.log1p(-self.window_symbols / scheme.code.n)
+            d_min * math.log1p(-window_symbols / scheme.code.n)
         )
-        self._flag, self._bad = _with_rs_floor(
-            self.table.p_flag, self.table.p_bad_window, scheme.code.t,
-            miscorrect, window_factor,
+        self._flag, self._bad = _rs_floor(
+            scheme.code.t, miscorrect, window_factor
         )
 
     def line_probs(self, ber: float) -> dict[str, float]:

@@ -1,20 +1,20 @@
-"""Measured conditional-outcome tables for code words.
+"""Measured conditional-outcome tables for binary code words.
 
 The semi-analytic reliability engine factors each scheme's failure
 probability into (a) the *exact* distribution of error counts per codeword
 (binomial in the i.i.d. weak-cell process) and (b) the *conditional* outcome
-probabilities given j errors - which depend on the decoder's actual
-behaviour and are measured here by running the real decoder on controlled
-error patterns.
+probabilities given j errors.  For the bit codes (Hamming SEC, Hsiao
+SEC-DED) these depend on the decoder's actual behaviour and are measured
+here by running the real decoder on controlled error patterns.  The RS
+schemes need no measurement: their conditionals are closed forms in
+:mod:`repro.reliability.analytic`.
 
 Conditioning on counts (rather than raw Monte Carlo) is what lets the F2
 sweep resolve failure probabilities of 1e-20 and below, far past what direct
 simulation could sample.
 
-All tables are measured in the p -> 0 limit where every erroneous
-bit/symbol is a single flipped bit (the weak-cell regime the paper's sweep
-covers); the contribution of multi-bit symbol corruption at p <= 1e-3 is
-below the tables' sampling noise.
+All tables are measured in the p -> 0 limit of independent single-bit
+errors (the weak-cell regime the paper's sweep covers).
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ class WordConditionals:
     """P(flagged) and P(silently wrong) per error count j.
 
     ``p_flag[j]``  - decoder reports detected-uncorrectable;
-    ``p_bad[j]``   - decoder believes the word good but the data is wrong;
-    ``p_bad_window[j]`` - same, restricted to a random aligned data window
-    (only measured when ``window_symbols`` was given; else equals p_bad).
+    ``p_bad[j]``   - decoder believes the word good but the data is wrong.
     """
 
     j_values: np.ndarray
     p_flag: np.ndarray
     p_bad: np.ndarray
-    p_bad_window: np.ndarray
 
 
 _TABLE_CACHE: dict[tuple, WordConditionals] = {}
@@ -57,7 +54,7 @@ def measure_bit_code(
     ``silent_on_detect`` models conventional IECC, which forwards raw data
     on detection instead of flagging: detections count as bad-if-wrong.
     """
-    key = ("bit", type(code).__name__, code.n, code.k, j_max, samples, seed,
+    key = (type(code).__name__, code.n, code.k, j_max, samples, seed,
            silent_on_detect)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
@@ -84,63 +81,7 @@ def measure_bit_code(
                 bads += 1
         p_flag[j] = flags / samples
         p_bad[j] = bads / samples
-    table = WordConditionals(j_values, p_flag, p_bad, p_bad.copy())
-    _TABLE_CACHE[key] = table
-    return table
-
-
-def measure_symbol_code(
-    code: BlockCode,
-    j_max: int,
-    samples: int = 1500,
-    seed: int = 0,
-    symbol_bits: int = 8,
-    window_symbols: int | None = None,
-) -> WordConditionals:
-    """Conditional table for a symbol code (RS variants).
-
-    Errors are j random symbol positions each corrupted by one random bit
-    flip.  When ``window_symbols`` is given, ``p_bad_window`` measures the
-    probability that a random aligned window of that many *data* symbols is
-    wrong (what an access-level read consumes from a long codeword).
-    """
-    key = ("sym", type(code).__name__, code.n, code.k, j_max, samples, seed,
-           symbol_bits, window_symbols)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    rng = np.random.default_rng([seed, 0x5C0DE])
-    j_values = np.arange(j_max + 1)
-    p_flag = np.zeros(j_max + 1)
-    p_bad = np.zeros(j_max + 1)
-    p_bad_window = np.zeros(j_max + 1)
-    windows = (code.k // window_symbols) if window_symbols else 1
-    for j in j_values:
-        if j == 0:
-            continue
-        flags = 0
-        bads = 0
-        bad_windows = 0.0
-        # Draw every trial word first (same rng call order as one-at-a-time
-        # generation), then push the whole batch through the decoder.
-        words = np.zeros((samples, code.n), dtype=np.int64)
-        for s in range(samples):
-            positions = rng.choice(code.n, j, replace=False)
-            words[s, positions] = 1 << rng.integers(0, symbol_bits, size=j)
-        for result in code.decode_batch(words):
-            if result.status is DecodeStatus.DETECTED:
-                flags += 1
-                continue
-            wrong = np.nonzero(result.data)[0]
-            if wrong.size:
-                bads += 1
-                if window_symbols:
-                    # fraction of aligned windows containing a wrong symbol
-                    hit = np.unique(wrong // window_symbols)
-                    bad_windows += hit.size / windows
-        p_flag[j] = flags / samples
-        p_bad[j] = bads / samples
-        p_bad_window[j] = (bad_windows / samples) if window_symbols else p_bad[j]
-    table = WordConditionals(j_values, p_flag, p_bad, p_bad_window)
+    table = WordConditionals(j_values, p_flag, p_bad)
     _TABLE_CACHE[key] = table
     return table
 

@@ -4,9 +4,9 @@ The paper's headline comparison lives in a tail regime naive Monte-Carlo
 cannot reach: resolving a ~1e-13 per-read failure probability to a useful
 CI needs ~1e15 plain trials.  This module adds two variance-reduction
 tiers over the i.i.d. weak-cell process, both built on the *count-level*
-line law the validated analytic models and :mod:`repro.reliability.fastmc`
-already share (binomial per-word error counts x measured conditional
-decoder tables):
+line law of the validated analytic models (binomial per-word error counts x
+conditional decoder tables: measured for bit codes, closed-form RS floors
+for DUO and PAIR):
 
 **Importance sampling by exponential tilting** (:func:`run_rareevent_iid`).
 The per-bit/per-symbol error rate ``q`` is tilted in log-odds space by
@@ -26,9 +26,9 @@ exponentiating a deep-tail number.
 ``tilt=0`` is special-cased to the exact decoder-in-the-loop engine
 (:func:`repro.reliability.batch.run_iid_batched`): the counts are
 bit-identical to that engine's and the attached weights are all 1.  The
-tilted path (``tilt != 0``) samples counts instead of decoding, exactly
-like :mod:`repro.reliability.fastmc` - its unbiasedness against the
-analytic closed forms is what the statistical test tier certifies.
+tilted path (``tilt != 0``) samples counts instead of decoding and maps
+them to outcomes through the conditional tables - its unbiasedness against
+the analytic closed forms is what the statistical test tier certifies.
 
 **Fixed-effort multilevel splitting** (:func:`run_splitting_iid`) for the
 "k faults land in one codeword" event.  The level function is the maximum
@@ -288,7 +288,7 @@ def _log_weights(
 def _sample_word_states(
     rng: np.random.Generator, law: LineLaw, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, bad) per word given counts - same idiom as fastmc."""
+    """(flagged, bad) per word given counts, one uniform draw per word."""
     clipped = np.minimum(counts, len(law.p_flag) - 1)
     u = rng.random(counts.shape)
     flagged = u < law.p_flag[clipped]

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from repro.codes import ReedSolomonCode, SinglyExtendedRS
 from repro.reliability import build_model
 from repro.reliability.analytic import rs_decodable_fraction
 from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, RankSecDed, Xed
 
-SAMPLES = 250  # enough for table structure; floors come from closed forms
+SAMPLES = 250  # sizes the bit-code tables; RS conditionals are closed forms
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +105,52 @@ class TestPaperOrdering:
 
     def test_conventional_never_flags(self, models):
         assert models["iecc-sec"].line_probs(1e-4)["due"] == 0.0
+
+
+class TestClosedFormRsModels:
+    """DUO and PAIR conditionals come from closed forms, never from decodes."""
+
+    # line_probs recorded when the RS tables were still measured and then
+    # overwritten by the floor: the closed form must reproduce them exactly.
+    GOLDEN = {
+        "pair": {
+            1e-7: (1.3027012449871201e-43, 4.847396645688056e-38),
+            1e-4: (1.0874003882605785e-16, 4.046254668715716e-11),
+            1e-3: (2.1698893563637726e-08, 0.008042735407540065),
+        },
+        "duo": {
+            1e-7: (3.4792759610516223e-40, 4.5845353221486095e-34),
+            1e-4: (3.3073370046600983e-19, 4.357976627852899e-13),
+            1e-3: (2.0985980455356013e-12, 2.765258339508658e-06),
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def rs_schemes(self):
+        return {"pair": PairScheme(), "duo": Duo()}
+
+    def test_building_makes_no_decode(self, rs_schemes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an RS model decoded a word")
+
+        for cls in (ReedSolomonCode, SinglyExtendedRS):
+            monkeypatch.setattr(cls, "decode", refuse)
+            monkeypatch.setattr(cls, "decode_batch", refuse)
+        for scheme in rs_schemes.values():
+            build_model(scheme, samples=SAMPLES, seed=1)
+
+    @pytest.mark.parametrize("name", ["pair", "duo"])
+    def test_line_probs_match_golden(self, rs_schemes, name):
+        model = build_model(rs_schemes[name], samples=SAMPLES, seed=1)
+        for ber, (sdc, due) in self.GOLDEN[name].items():
+            probs = model.line_probs(ber)
+            assert probs["sdc"] == sdc, ber
+            assert probs["due"] == due, ber
+
+    @pytest.mark.parametrize("name", ["pair", "duo"])
+    def test_table_length(self, rs_schemes, name):
+        scheme = rs_schemes[name]
+        model = build_model(scheme, samples=SAMPLES, seed=1)
+        assert len(model._flag) == len(model._bad) == scheme.code.t + 9
+        assert not model._flag[: scheme.code.t + 1].any()
+        assert not model._bad[: scheme.code.t + 1].any()

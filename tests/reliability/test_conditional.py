@@ -1,11 +1,14 @@
-"""Tests for measured conditional-outcome tables."""
+"""Tests for measured conditional-outcome tables of the bit codes.
+
+The RS decoding radius the closed-form DUO/PAIR conditionals rest on is
+covered in ``tests/codes/test_rs_radius.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.codes import HammingSEC, HsiaoSECDED, ReedSolomonCode, SinglyExtendedRS
-from repro.galois import GF256
-from repro.reliability import measure_bit_code, measure_symbol_code
+from repro.codes import HammingSEC, HsiaoSECDED
+from repro.reliability import measure_bit_code
 from repro.reliability.conditional import clear_cache
 
 
@@ -46,26 +49,3 @@ class TestBitCodeTables:
         t2 = measure_bit_code(code, j_max=3, samples=100, seed=3)
         assert t1 is t2
 
-
-class TestSymbolCodeTables:
-    def test_rs_guaranteed_region(self):
-        code = ReedSolomonCode(GF256, 76, 64)
-        table = measure_symbol_code(code, j_max=8, samples=150, seed=4)
-        for j in range(code.t + 1):
-            assert table.p_flag[j] == 0.0, j
-            assert table.p_bad[j] == 0.0, j
-        # beyond t: overwhelmingly detected at sampling resolution
-        assert table.p_flag[7] > 0.99
-
-    def test_extended_rs_guaranteed_region(self):
-        code = SinglyExtendedRS(GF256, 256, 240)
-        table = measure_symbol_code(code, j_max=9, samples=100, seed=5)
-        assert table.p_bad[8] == 0.0
-        assert table.p_flag[9] > 0.99
-
-    def test_window_column_present(self):
-        code = SinglyExtendedRS(GF256, 256, 240)
-        table = measure_symbol_code(
-            code, j_max=9, samples=100, seed=6, window_symbols=2
-        )
-        assert np.all(table.p_bad_window <= table.p_bad + 1e-12)

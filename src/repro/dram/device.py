@@ -59,8 +59,17 @@ class DramDevice:
         return self._rows[key]
 
     def row_with_faults(self, bank: int, row: int) -> np.ndarray:
-        """Row contents as the sense amps would see them (faults applied)."""
-        data = self.row_view(bank, row).copy()
+        """Row contents as the sense amps would see them (faults applied).
+
+        Returns a private copy.  Reading never allocates storage: a row that
+        was never written reads as zeros without entering ``touched_rows``.
+        """
+        self._check_coords(bank, row)
+        stored = self._rows.get((bank, row))
+        if stored is None:
+            data = np.zeros(self._row_shape, dtype=np.uint8)
+        else:
+            data = stored.copy()
         if self.fault_overlay is not None:
             mask = self.fault_overlay.mask_for_row(bank, row, self._row_shape)
             if mask is not None:

@@ -39,6 +39,11 @@ class SegmentedLayout:
     shape ``(num_codewords, n_symbols, symbol_bits)``, mapping each codeword
     bit to its (pin, bit-offset) home in the row matrix.  Bit offsets index
     the *full* per-pin storage: offsets past the data region land in spare.
+
+    A subclass whose symbols are whole bytes of one pin also fills
+    ``self._byte_index``, shape ``(num_codewords, n_symbols)``: each symbol's
+    byte in the row packed little-endian along the pins.  Gather and scatter
+    then move bytes instead of single bits.
     """
 
     def __init__(
@@ -57,6 +62,7 @@ class SegmentedLayout:
         self.segment_parity_bits = parity_symbols * symbol_bits
         self._pin_index: np.ndarray | None = None
         self._bit_index: np.ndarray | None = None
+        self._byte_index: np.ndarray | None = None
 
     # -- indices -------------------------------------------------------------
 
@@ -66,16 +72,22 @@ class SegmentedLayout:
 
     def gather(self, row: np.ndarray, codeword: int) -> np.ndarray:
         """Collect the symbols of one codeword from a row bit matrix."""
-        bits = row[self._pin_index[codeword], self._bit_index[codeword]]
-        shifts = np.arange(self.symbol_bits, dtype=np.int64)
-        return (bits.astype(np.int64) << shifts).sum(axis=-1)
+        return self.gather_many(row, (codeword,))[0]
 
     def gather_many(self, row: np.ndarray, codewords: Sequence[int]) -> np.ndarray:
         """Symbols of several codewords at once, shape ``(len(codewords), n)``.
 
-        One fancy-indexed gather for the whole group - the batched read path
-        uses this to pull every codeword of an access in a single pass.
+        One pass over the row for the whole group - the batched read path
+        uses this to pull every codeword of an access at once.
         """
+        cws = np.asarray(codewords, dtype=np.int64)
+        if self._byte_index is None:
+            return self.gather_bits(row, cws)
+        packed = np.packbits(row, axis=1, bitorder="little").reshape(-1)
+        return packed[self._byte_index[cws]].astype(np.int64)
+
+    def gather_bits(self, row: np.ndarray, codewords: Sequence[int]) -> np.ndarray:
+        """:meth:`gather_many` assembled bit by bit, for any layout."""
         cws = np.asarray(codewords, dtype=np.int64)
         bits = row[self._pin_index[cws], self._bit_index[cws]]
         shifts = np.arange(self.symbol_bits, dtype=np.int64)
@@ -84,13 +96,18 @@ class SegmentedLayout:
     def scatter(self, row: np.ndarray, codeword: int, symbols: np.ndarray) -> None:
         """Write the symbols of one codeword back into a row bit matrix."""
         symbols = np.asarray(symbols, dtype=np.int64)
-        shifts = np.arange(self.symbol_bits, dtype=np.int64)
-        bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8)
-        row[self._pin_index[codeword], self._bit_index[codeword]] = bits
-
-    def gather_error_symbols(self, error_row: np.ndarray, codeword: int) -> np.ndarray:
-        """Same as :meth:`gather` but named for error-mask matrices."""
-        return self.gather(error_row, codeword)
+        if self._byte_index is None:
+            shifts = np.arange(self.symbol_bits, dtype=np.int64)
+            bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8)
+            row[self._pin_index[codeword], self._bit_index[codeword]] = bits
+            return
+        if not row.flags.c_contiguous:
+            raise ValueError("scatter into a byte-aligned layout needs a C-contiguous row")
+        bits = np.unpackbits(
+            symbols.astype(np.uint8)[:, None], axis=1, bitorder="little"
+        )
+        # row-major, each packed byte of the row is one row of this view
+        row.reshape(-1, 8)[self._byte_index[codeword]] = bits
 
     # -- access relationships --------------------------------------------------
 
@@ -120,9 +137,9 @@ class PinAlignedLayout(SegmentedLayout):
     Pin ``p``'s data region is tiled into ``segments_per_pin`` chunks of
     ``k * symbol_bits`` bits; chunk ``s`` plus its parity (stored in pin
     ``p``'s spare region) forms codeword ``p * segments_per_pin + s``.
-    Symbols pack consecutive bits along the pin (LSB = earliest beat), so a
-    length-``b`` transfer burst touches at most ``ceil(b / symbol_bits) + 1``
-    symbols of one codeword.
+    Each symbol is one byte of the pin's bit line (LSB = earliest beat), so
+    a length-``b`` transfer burst touches at most ``ceil(b / 8) + 1`` symbols
+    of one codeword, and gather/scatter work on the packed row's bytes.
     """
 
     def __init__(
@@ -132,8 +149,12 @@ class PinAlignedLayout(SegmentedLayout):
         parity_symbols: int = 16,
         symbol_bits: int = 8,
     ):
+        if symbol_bits != 8:
+            raise ValueError(f"pin-aligned symbols are bytes, not {symbol_bits}-bit")
         super().__init__(device, data_symbols, parity_symbols, symbol_bits)
         data_bits = device.data_bits_per_pin_per_row
+        if device.spare_bits_per_pin_per_row % 8:
+            raise ValueError("pin storage must be whole bytes")
         if data_bits % self.segment_data_bits:
             raise ValueError(
                 f"pin data region ({data_bits}b) not tileable by "
@@ -166,6 +187,8 @@ class PinAlignedLayout(SegmentedLayout):
                 bit_index[cw, self.k :] = poffs
         self._pin_index = pin_index
         self._bit_index = bit_index
+        pin_bytes = (device.data_bits_per_pin_per_row + device.spare_bits_per_pin_per_row) // 8
+        self._byte_index = pin_index[..., 0] * pin_bytes + bit_index[..., 0] // 8
 
     def codeword_id(self, pin: int, segment: int) -> int:
         return pin * self.segments_per_pin + segment

@@ -9,6 +9,13 @@ Determinism matters: masks are derived from ``(seed, bank, row)`` substreams,
 so reading the same row twice sees the same weak cells (inherent faults are
 persistent), and two schemes evaluated against the same seed see the same
 fault universe - the comparisons in the paper are paired.
+
+Weak cells and cluster anchors are i.i.d. Bernoulli per cell, but at field
+error rates a row holds well under one flip, so they are drawn in O(flips)
+rather than one uniform per cell: a Binomial count, then a uniform subset of
+that many distinct cells (:func:`sample_cells`), which has the same law.
+Structured faults have footprint densities of 0.3-0.5 and keep a dense
+per-bit draw.
 """
 
 from __future__ import annotations
@@ -121,12 +128,35 @@ class FaultSampler:
         return out
 
 
+def sample_cells(
+    rng: np.random.Generator, shape: tuple[int, int], p: float
+) -> np.ndarray | None:
+    """Each cell of ``shape`` independently with probability ``p``, as a mask.
+
+    Draws the count ``k ~ Binomial(cells, p)`` and then a uniform ``k``-subset
+    of distinct flat positions - exactly the law of ``rng.random(shape) < p``
+    at a cost of O(k) rather than O(cells).  Returns a ``uint8`` mask, or
+    None when no cell was drawn.
+    """
+    cells = shape[0] * shape[1]
+    k = int(rng.binomial(cells, p))
+    if k == 0:
+        return None
+    mask = np.zeros(cells, dtype=np.uint8)
+    mask[rng.choice(cells, size=k, replace=False, shuffle=False)] = 1
+    return mask.reshape(shape)
+
+
 class FaultOverlay:
     """Materialises deterministic flip masks per row.
 
     Combines the i.i.d. single-cell process with every structured fault whose
-    footprint intersects the row.  Masks are cached (bounded) because schemes
-    repeatedly read the same hot rows.
+    footprint intersects the row.  Each row's weak cells, then its cluster
+    anchors, come from one generator keyed ``(seed, bank, row, 0xCE11)``;
+    each structured fault in the row has its own key.  These keys make the
+    fault universe persistent and shared by every scheme run on one seed.
+    Masks are cached (bounded) because schemes repeatedly read the same hot
+    rows.
     """
 
     def __init__(
@@ -174,17 +204,14 @@ class FaultOverlay:
         mask: np.ndarray | None = None
         ber = self.rates.single_cell_ber
         if ber > 0:
-            flips = rng.random(shape) < ber
-            if flips.any():
-                mask = flips.astype(np.uint8)
+            mask = sample_cells(rng, shape, ber)
         cluster = self.rates.cell_cluster_per_bit
         if cluster > 0:
-            anchors = rng.random(shape) < cluster
-            if anchors.any():
-                pair = anchors.astype(np.uint8)
+            anchors = sample_cells(rng, shape, cluster)
+            if anchors is not None:
                 # the along-pin neighbour flips too (clusters never wrap)
-                pair[:, 1:] |= anchors[:, :-1].astype(np.uint8)
-                mask = pair if mask is None else (mask | pair)
+                anchors[:, 1:] |= anchors[:, :-1].copy()
+                mask = anchors if mask is None else (mask | anchors)
         for index, fault in enumerate(self.faults):
             if not fault.affects_row(bank, row):
                 continue

@@ -1,17 +1,17 @@
 """Crash-safe observability export: ``obs.jsonl`` snapshots and summaries.
 
 An export is a JSON-Lines file where every line is one self-describing
-snapshot dict (``kind`` in ``{"metrics", "spans", "profile"}``).  Writes go
-through :func:`repro.utils.atomic_io.atomic_write_text`: the whole file is
-rewritten atomically per flush, so a SIGKILL mid-export leaves either the
-previous or the next complete file - the same durability contract as the
-campaign manifest.  Appending to a prior export is modelled as
+snapshot dict (``kind`` in ``{"metrics", "spans"}``; other kinds are
+ignored).  Writes go through :func:`repro.utils.atomic_io.atomic_write_text`:
+the whole file is rewritten atomically per flush, so a SIGKILL mid-export
+leaves either the previous or the next complete file - the same durability
+contract as the campaign manifest.  Appending to a prior export is modelled as
 read-old-lines + write-all-lines, keeping the atomic guarantee.
 
 ``summarize`` is the shared backend of ``python -m repro obs report``: it
-merges every metrics snapshot commutatively, folds span aggregates, and
-keeps the last profile - one mergeable view of an arbitrary pile of
-snapshots (multiple runs, multiple workers, a resumed campaign).
+merges every metrics snapshot commutatively and folds span aggregates -
+one mergeable view of an arbitrary pile of snapshots (multiple runs,
+multiple workers, a resumed campaign).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def summarize(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     """One mergeable view of many snapshots (the ``obs report`` payload)."""
     metrics_snaps = [s for s in snapshots if s.get("kind") == "metrics"]
     span_snaps = [s for s in snapshots if s.get("kind") == "spans"]
-    profiles = [s for s in snapshots if s.get("kind") == "profile"]
 
     merged = merge_snapshots(metrics_snaps)
     by_agent: dict[str, list[dict[str, Any]]] = {}
@@ -97,7 +96,6 @@ def summarize(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
             "dropped": spans_dropped,
             "aggregates": dict(sorted(span_aggregates.items())),
         },
-        "profile": profiles[-1] if profiles else None,
     }
 
 
@@ -144,14 +142,6 @@ def format_report(report: dict[str, Any]) -> str:
             )
         if report["spans"]["dropped"]:
             lines.append(f"  ({report['spans']['dropped']} spans dropped by the ring)")
-    profile = report.get("profile")
-    if profile:
-        lines.append(
-            f"\nprofile: {profile['samples']} samples at "
-            f"{profile['interval_s'] * 1000:.0f} ms"
-        )
-        for key, count in list(profile["self"].items())[:15]:
-            lines.append(f"  {key:<50}  {count}")
     if len(lines) == 1:
         lines.append("(no metrics recorded - was obs enabled?)")
     return "\n".join(lines)

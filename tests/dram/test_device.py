@@ -14,6 +14,13 @@ class TestStorage:
         dev.row_view(0, 0)
         assert dev.touched_rows == 1
 
+    def test_reads_do_not_allocate(self):
+        overlay = FaultOverlay(DDR5_X8, FaultRates(single_cell_ber=1e-3), seed=1)
+        dev = DramDevice(DDR5_X8, fault_overlay=overlay)
+        dev.read_access(0, 3, 5)
+        dev.row_with_faults(1, 4)
+        assert dev.touched_rows == 0
+
     def test_row_view_is_mutable_persistent(self):
         dev = DramDevice(DDR5_X8)
         dev.row_view(1, 2)[3, 4] = 1

@@ -33,6 +33,53 @@ class TestLayoutProperties:
 
     @given(
         device=st.sampled_from(sorted(DEVICES)),
+        seed=st.integers(0, 2**31 - 1),
+        density=st.sampled_from([1e-3, 0.1, 0.5]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_byte_gather_matches_bit_gather(self, device, seed, density):
+        """The packed-byte gather equals the bit-by-bit reference."""
+        dev = DEVICES[device]
+        layout = PinAlignedLayout(dev)
+        rng = np.random.default_rng(seed)
+        row = (rng.random(fresh_row(dev).shape) < density).astype(np.uint8)
+        cws = rng.choice(layout.num_codewords, size=int(rng.integers(1, 9)), replace=False)
+        expected = layout.gather_bits(row, cws)
+        assert np.array_equal(layout.gather_many(row, cws), expected)
+        assert np.array_equal(layout.gather(row, int(cws[0])), expected[0])
+
+    @given(
+        device=st.sampled_from(sorted(DEVICES)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scatter_touches_only_its_codeword(self, device, seed):
+        """Scatter writes the codeword's own cells and nothing else."""
+        dev = DEVICES[device]
+        layout = PinAlignedLayout(dev)
+        rng = np.random.default_rng(seed)
+        row = rng.integers(0, 2, fresh_row(dev).shape, dtype=np.uint8)
+        before = row.copy()
+        cw = int(rng.integers(layout.num_codewords))
+        symbols = rng.integers(0, 256, layout.n)
+        layout.scatter(row, cw, symbols)
+        assert np.array_equal(layout.gather_bits(row, [cw])[0], symbols)
+        row[layout._pin_index[cw], layout._bit_index[cw]] = before[
+            layout._pin_index[cw], layout._bit_index[cw]]
+        assert np.array_equal(row, before)
+
+    def test_pin_layout_symbols_are_bytes(self):
+        with pytest.raises(ValueError, match="bytes"):
+            PinAlignedLayout(DDR5_X8, data_symbols=480, parity_symbols=32, symbol_bits=4)
+
+    def test_scatter_rejects_a_strided_row(self):
+        layout = PinAlignedLayout(DDR5_X8)
+        row = np.zeros((DDR5_X8.pins, 2 * 8192), dtype=np.uint8)[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            layout.scatter(row, 0, np.zeros(layout.n, dtype=np.int64))
+
+    @given(
+        device=st.sampled_from(sorted(DEVICES)),
         col_seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for fault sampling and mask materialisation."""
 
 import numpy as np
+import pytest
 
 from repro.dram import DDR5_X8
 from repro.faults import (
@@ -13,8 +14,19 @@ from repro.faults import (
     burst_mask,
     sample_transfer_burst,
 )
+from repro.faults.sampler import sample_cells
+from repro.reliability import wilson_interval
 
 SHAPE = (8, 8192)
+CELLS = SHAPE[0] * SHAPE[1]
+DATA_BITS = DDR5_X8.data_bits_per_pin_per_row
+
+#: z of every statistical band below: a correct sampler fails one band in
+#: about 16,000 runs.
+Z = 4.0
+#: chi-square quantiles at the same tail mass (upper 6.3e-5), by degrees of
+#: freedom: scipy.stats.chi2.isf(6.334e-5, df).
+CHI2_CRIT = {7: 31.0, 15: 45.5}
 
 
 def clean_rates(**overrides):
@@ -197,3 +209,68 @@ class TestCellClusters:
         rates = FaultRates(cell_cluster_per_bit=1e-3)
         isolated = rates.only(FaultType.SINGLE_CELL)
         assert isolated.cell_cluster_per_bit == 0.0
+
+
+def weak_cell_counts(ber, rows):
+    overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=ber), seed=10, faults=[])
+    masks = (overlay.mask_for_row(0, row, SHAPE) for row in range(rows))
+    return np.array([0 if m is None else int(m.sum()) for m in masks])
+
+
+def chi2_uniform(counts):
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+class TestWeakCellLaw:
+    """Weak cells are i.i.d. Bernoulli(ber) per cell, drawn in O(flips)."""
+
+    @pytest.mark.parametrize("ber, rows", [(1e-3, 2000), (1e-5, 20000)])
+    def test_count_is_binomial(self, ber, rows):
+        counts = weak_cell_counts(ber, rows)
+        mean, var = CELLS * ber, CELLS * ber * (1 - ber)
+        # normal bands on the sample mean and the sample variance; the
+        # variance's standard error uses the binomial fourth central moment
+        assert abs(counts.mean() - mean) <= Z * np.sqrt(var / rows)
+        mu4 = var * (1 + 3 * (CELLS - 2) * ber * (1 - ber))
+        var_se = np.sqrt((mu4 - var**2 * (rows - 3) / (rows - 1)) / rows)
+        assert abs(counts.var(ddof=1) - var) <= Z * var_se
+
+    def test_positions_are_uniform(self):
+        overlay = FaultOverlay(DDR5_X8, clean_rates(single_cell_ber=1e-3), seed=11, faults=[])
+        pins, offsets = [], []
+        for row in range(1000):
+            p, o = np.nonzero(overlay.mask_for_row(0, row, SHAPE))
+            pins.append(p)
+            offsets.append(o)
+        pins, offsets = np.concatenate(pins), np.concatenate(offsets)
+        assert chi2_uniform(np.bincount(pins, minlength=SHAPE[0])) < CHI2_CRIT[7]
+        along_pin = np.bincount(offsets * 16 // SHAPE[1], minlength=16)
+        assert chi2_uniform(along_pin) < CHI2_CRIT[15]
+        lo, hi = wilson_interval(int((offsets >= DATA_BITS).sum()), offsets.size, z=Z)
+        assert lo <= 1 - DATA_BITS / SHAPE[1] <= hi
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.3])
+    def test_positions_never_repeat(self, p):
+        """The mask holds exactly the drawn count: no position twice."""
+        for seed in range(20):
+            k = np.random.default_rng(seed).binomial(CELLS, p)
+            mask = sample_cells(np.random.default_rng(seed), SHAPE, p)
+            assert (0 if mask is None else int(mask.sum())) == k
+
+    def test_row_stream_is_weak_cells_then_anchors(self):
+        """The row key, the draw order (weak cells, then cluster anchors) and
+        the cluster rule: each anchor's along-pin neighbour flips, never
+        wrapping from one pin's last cell to the next pin's first."""
+        rates = clean_rates(single_cell_ber=1e-3, cell_cluster_per_bit=0.3)
+        overlay = FaultOverlay(DDR5_X8, rates, seed=12, faults=[])
+        wrap_cases = 0
+        for row in range(4):
+            rng = np.random.default_rng([12, 3, row, 0xCE11])
+            weak = sample_cells(rng, SHAPE, 1e-3)
+            anchors = sample_cells(rng, SHAPE, 0.3)
+            expected = weak | anchors
+            expected[:, 1:] |= anchors[:, :-1]
+            assert np.array_equal(overlay.mask_for_row(3, row, SHAPE), expected)
+            wrap_cases += int((anchors[:-1, -1] & ~expected[1:, 0]).sum())
+        assert wrap_cases > 0  # a wrapping cluster rule would have differed

@@ -56,16 +56,15 @@ class TestSummarize:
         assert report["counters"] == {"c": 3}
         agg = report["spans"]["aggregates"]["work"]
         assert agg["count"] == 2 and agg["mean_s"] == 2.0
-        assert report["profile"] is None
 
-    def test_keeps_last_profile(self):
-        profiles = [
-            {"kind": "profile", "label": str(i), "samples": i,
-             "interval_s": 0.01, "self": {}, "cumulative": {}}
-            for i in (1, 2)
-        ]
-        report = summarize(profiles)
-        assert report["profile"]["label"] == "2"
+    def test_stale_profile_lines_are_ignored(self):
+        stale = {"kind": "profile", "label": "old", "samples": 3,
+                 "interval_s": 0.01, "self": {}, "cumulative": {}}
+        report = summarize([metrics_snap(1), stale])
+        assert report["snapshots"] == 2
+        assert report["counters"] == {"c": 1}
+        assert "profile" not in report
+        assert "profile" not in format_report(report)
 
     def test_format_report_renders_every_section(self):
         obs.enable()

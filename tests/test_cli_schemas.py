@@ -202,7 +202,7 @@ class TestObsReportSchema:
     def assert_report_schema(self, payload):
         assert set(payload) == {
             "kind", "version", "snapshots", "counters", "gauges",
-            "histograms", "agents", "spans", "profile",
+            "histograms", "agents", "spans",
         }
         assert payload["kind"] == "obs_report"
         assert payload["version"] == SNAPSHOT_VERSION

@@ -8,33 +8,105 @@
 Both are defined by an explicit parity-check matrix so that tests can verify
 distance properties, and both report *detected* rather than silently wrapping
 when a syndrome falls outside the used column set (which happens for
-shortened codes and is exactly the effect XED exploits).
+shortened codes and is exactly the effect XED exploits).  They share one
+array decode, :meth:`ColumnCode.decode_array`; ``decode_batch`` and
+``decode`` are views of it.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..galois import linalg2
 from .base import BlockCode, DecodeResult, DecodeStatus
 
-
-def _position_lookup(columns: list[int], r: int) -> np.ndarray:
-    """Map every r-bit syndrome value to its bit position (-1 if unused)."""
-    lookup = np.full(1 << r, -1, dtype=np.int64)
-    for idx, value in enumerate(columns):
-        lookup[value] = idx
-    return lookup
+#: status codes of :meth:`ColumnCode.decode_array`, indexing ``STATUSES``.
+OK, CORRECTED, DETECTED = 0, 1, 2
+STATUSES = (DecodeStatus.OK, DecodeStatus.CORRECTED, DecodeStatus.DETECTED)
 
 
-def _batch_syndrome_values(words: np.ndarray, column_values: np.ndarray) -> np.ndarray:
-    """Integer syndrome of every row: XOR of column values at set bits."""
-    return np.bitwise_xor.reduce(words.astype(np.int64) * column_values[None, :], axis=1)
+@dataclass(frozen=True)
+class ArrayDecode:
+    """Decoded rows as arrays.
+
+    ``status`` holds one code per row (``OK``, ``CORRECTED`` or
+    ``DETECTED``), ``data`` the ``(rows, k)`` decoded data bits (raw on
+    detection) and ``position`` the bit each row flipped, -1 where none.
+    """
+
+    status: np.ndarray
+    data: np.ndarray
+    position: np.ndarray
 
 
-class HammingSEC(BlockCode):
+class ColumnCode(BlockCode):
+    """A binary code fixed by its parity-check columns, data then parity.
+
+    A nonzero syndrome equal to column ``i`` flips bit ``i``; one equal to
+    no column is detected.  For odd-weight columns (Hsiao) an even-weight
+    syndrome is never a column, so double errors detect without a separate
+    parity test.
+    """
+
+    def _set_columns(self, n: int, k: int, columns: list[int]) -> None:
+        r = n - k
+        self.n = n
+        self.k = k
+        self._columns = columns
+        h = np.zeros((r, n), dtype=np.uint8)
+        for idx, value in enumerate(columns):
+            for j in range(r):
+                h[j, idx] = (value >> j) & 1
+        self.H = h
+        self._column_values = np.asarray(columns, dtype=np.int64)
+        # every r-bit syndrome value -> its bit position (-1: no column)
+        # and the status it decodes to
+        self._position_lookup = np.full(1 << r, -1, dtype=np.int64)
+        self._position_lookup[self._column_values] = np.arange(n)
+        self._status_lookup = np.where(
+            self._position_lookup >= 0, CORRECTED, DETECTED
+        ).astype(np.int8)
+        self._status_lookup[0] = OK
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        data = np.asarray(data, dtype=np.uint8) & 1
+        if data.shape != (self.k,):
+            raise ValueError(f"expected {self.k} data bits, got {data.shape}")
+        parity = linalg2.matvec(self.H[:, : self.k], data)
+        return np.concatenate([data, parity])
+
+    def decode_array(self, words: np.ndarray) -> ArrayDecode:
+        """Decode a ``(rows, n)`` bit matrix with one syndrome pass."""
+        words = np.asarray(words, dtype=np.uint8) & 1
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
+        syndromes = np.bitwise_xor.reduce(
+            words.astype(np.int64) * self._column_values, axis=1
+        )
+        position = self._position_lookup[syndromes]
+        fix = np.flatnonzero(position >= 0)
+        words[fix, position[fix]] ^= 1  # words is this call's own copy
+        return ArrayDecode(self._status_lookup[syndromes], words[:, : self.k], position)
+
+    def decode_batch(self, words: np.ndarray) -> list[DecodeResult]:
+        """:meth:`decode_array` as one :class:`DecodeResult` per row."""
+        out = self.decode_array(words)
+        return [
+            DecodeResult(STATUSES[s], data, (p,) if s == CORRECTED else ())
+            for s, data, p in zip(out.status.tolist(), out.data, out.position.tolist())
+        ]
+
+    def decode(self, received: np.ndarray) -> DecodeResult:
+        received = np.asarray(received)
+        if received.shape != (self.n,):
+            raise ValueError(f"expected {self.n} bits, got {received.shape}")
+        return self.decode_batch(received[None, :])[0]
+
+
+class HammingSEC(ColumnCode):
     """Shortened Hamming single-error-correcting code.
 
     Columns of the parity-check matrix are distinct nonzero ``r``-bit values;
@@ -47,8 +119,6 @@ class HammingSEC(BlockCode):
         r = n - k
         if n > (1 << r) - 1:
             raise ValueError(f"({n},{k}) exceeds Hamming bound: n <= 2^r - 1")
-        self.n = n
-        self.k = k
         data_columns = []
         for value in range(3, 1 << r):
             if value & (value - 1):  # weight >= 2: not a parity unit column
@@ -57,74 +127,11 @@ class HammingSEC(BlockCode):
                 break
         if len(data_columns) < k:
             raise ValueError(f"cannot build ({n},{k}) Hamming code")
-        parity_columns = [1 << j for j in range(r)]
-        self._columns = data_columns + parity_columns
-        h = np.zeros((r, n), dtype=np.uint8)
-        for idx, value in enumerate(self._columns):
-            for j in range(r):
-                h[j, idx] = (value >> j) & 1
-        self.H = h
-        self._column_to_position = {value: idx for idx, value in enumerate(self._columns)}
-        self._column_values = np.asarray(self._columns, dtype=np.int64)
-        self._position_lookup = _position_lookup(self._columns, r)
+        self._set_columns(n, k, data_columns + [1 << j for j in range(r)])
 
     @property
     def d_min(self) -> int:
         return 3
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.uint8) & 1
-        if data.shape != (self.k,):
-            raise ValueError(f"expected {self.k} data bits, got {data.shape}")
-        parity = linalg2.matvec(self.H[:, : self.k], data)
-        return np.concatenate([data, parity])
-
-    def syndrome(self, received: np.ndarray) -> int:
-        bits = linalg2.matvec(self.H, np.asarray(received, dtype=np.uint8) & 1)
-        return sum(int(b) << j for j, b in enumerate(bits))
-
-    def decode(self, received: np.ndarray) -> DecodeResult:
-        received = np.asarray(received, dtype=np.uint8) & 1
-        if received.shape != (self.n,):
-            raise ValueError(f"expected {self.n} bits, got {received.shape}")
-        syndrome = self.syndrome(received)
-        if syndrome == 0:
-            return DecodeResult(DecodeStatus.OK, received[: self.k].copy())
-        position = self._column_to_position.get(syndrome)
-        if position is None:
-            # Shortened code: this syndrome belongs to no bit -> detectable.
-            return DecodeResult(DecodeStatus.DETECTED, received[: self.k].copy())
-        corrected = received.copy()
-        corrected[position] ^= 1
-        return DecodeResult(
-            DecodeStatus.CORRECTED, corrected[: self.k].copy(), (position,)
-        )
-
-    def decode_batch(self, words: np.ndarray) -> list[DecodeResult]:
-        """Element-wise :meth:`decode` with one vectorised syndrome pass."""
-        words = np.asarray(words, dtype=np.uint8) & 1
-        if words.ndim != 2 or words.shape[1] != self.n:
-            raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
-        synds = _batch_syndrome_values(words, self._column_values)
-        positions = self._position_lookup[synds]
-        results = []
-        for i in range(words.shape[0]):
-            if synds[i] == 0:
-                results.append(DecodeResult(DecodeStatus.OK, words[i][: self.k].copy()))
-            elif positions[i] < 0:
-                results.append(
-                    DecodeResult(DecodeStatus.DETECTED, words[i][: self.k].copy())
-                )
-            else:
-                pos = int(positions[i])
-                corrected = words[i].copy()
-                corrected[pos] ^= 1
-                results.append(
-                    DecodeResult(
-                        DecodeStatus.CORRECTED, corrected[: self.k].copy(), (pos,)
-                    )
-                )
-        return results
 
     def miscorrection_fraction(self) -> float:
         """Fraction of *double*-bit errors that silently miscorrect.
@@ -143,7 +150,7 @@ class HammingSEC(BlockCode):
         return bad / total
 
 
-class HsiaoSECDED(BlockCode):
+class HsiaoSECDED(ColumnCode):
     """Hsiao odd-weight-column SEC-DED code, e.g. the rank-level (72, 64).
 
     All parity-check columns have odd weight, so every double error has an
@@ -163,76 +170,8 @@ class HsiaoSECDED(BlockCode):
         data_columns = [c for c in odd_columns if c not in set(parity_columns)][:k]
         if len(data_columns) < k:
             raise ValueError(f"cannot build ({n},{k}) Hsiao code")
-        self.n = n
-        self.k = k
-        self._columns = data_columns + parity_columns
-        h = np.zeros((r, n), dtype=np.uint8)
-        for idx, value in enumerate(self._columns):
-            for j in range(r):
-                h[j, idx] = (value >> j) & 1
-        self.H = h
-        self._column_to_position = {value: idx for idx, value in enumerate(self._columns)}
-        self._column_values = np.asarray(self._columns, dtype=np.int64)
-        self._position_lookup = _position_lookup(self._columns, r)
+        self._set_columns(n, k, data_columns + parity_columns)
 
     @property
     def d_min(self) -> int:
         return 4
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.uint8) & 1
-        if data.shape != (self.k,):
-            raise ValueError(f"expected {self.k} data bits, got {data.shape}")
-        parity = linalg2.matvec(self.H[:, : self.k], data)
-        return np.concatenate([data, parity])
-
-    def syndrome(self, received: np.ndarray) -> int:
-        bits = linalg2.matvec(self.H, np.asarray(received, dtype=np.uint8) & 1)
-        return sum(int(b) << j for j, b in enumerate(bits))
-
-    def decode(self, received: np.ndarray) -> DecodeResult:
-        received = np.asarray(received, dtype=np.uint8) & 1
-        if received.shape != (self.n,):
-            raise ValueError(f"expected {self.n} bits, got {received.shape}")
-        syndrome = self.syndrome(received)
-        if syndrome == 0:
-            return DecodeResult(DecodeStatus.OK, received[: self.k].copy())
-        if bin(syndrome).count("1") % 2 == 0:
-            # Even-weight syndrome: double (or other even) error -> detected.
-            return DecodeResult(DecodeStatus.DETECTED, received[: self.k].copy())
-        position = self._column_to_position.get(syndrome)
-        if position is None:
-            return DecodeResult(DecodeStatus.DETECTED, received[: self.k].copy())
-        corrected = received.copy()
-        corrected[position] ^= 1
-        return DecodeResult(
-            DecodeStatus.CORRECTED, corrected[: self.k].copy(), (position,)
-        )
-
-    def decode_batch(self, words: np.ndarray) -> list[DecodeResult]:
-        """Element-wise :meth:`decode` with one vectorised syndrome pass."""
-        words = np.asarray(words, dtype=np.uint8) & 1
-        if words.ndim != 2 or words.shape[1] != self.n:
-            raise ValueError(f"expected (batch, {self.n}) matrix, got {words.shape}")
-        synds = _batch_syndrome_values(words, self._column_values)
-        # Odd-weight columns: an even-weight syndrome is never a column, so
-        # the shared -1 lookup already classifies double errors as detected.
-        positions = self._position_lookup[synds]
-        results = []
-        for i in range(words.shape[0]):
-            if synds[i] == 0:
-                results.append(DecodeResult(DecodeStatus.OK, words[i][: self.k].copy()))
-            elif positions[i] < 0:
-                results.append(
-                    DecodeResult(DecodeStatus.DETECTED, words[i][: self.k].copy())
-                )
-            else:
-                pos = int(positions[i])
-                corrected = words[i].copy()
-                corrected[pos] ^= 1
-                results.append(
-                    DecodeResult(
-                        DecodeStatus.CORRECTED, corrected[: self.k].copy(), (pos,)
-                    )
-                )
-        return results

@@ -52,9 +52,13 @@ class ReliabilityModel(abc.ABC):
         """Return ``{"sdc": ..., "due": ...}`` for one line read."""
 
     def sweep(self, bers: np.ndarray) -> dict[str, np.ndarray]:
-        sdc = np.array([self.line_probs(p)["sdc"] for p in bers])
-        due = np.array([self.line_probs(p)["due"] for p in bers])
-        return {"ber": np.asarray(bers, dtype=float), "sdc": sdc, "due": due}
+        """``line_probs`` at every BER, evaluated once each."""
+        probs = [self.line_probs(p) for p in bers]
+        return {
+            "ber": np.asarray(bers, dtype=float),
+            "sdc": np.array([row["sdc"] for row in probs]),
+            "due": np.array([row["due"] for row in probs]),
+        }
 
 
 def rs_decodable_fraction(n: int, r_eff: int, t: int, q: int = 256) -> float:

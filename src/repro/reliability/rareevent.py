@@ -257,7 +257,11 @@ def resolve_tilt(tilt: float | str, law: LineLaw) -> float:
 
 
 def _log_weights(
-    law: LineLaw, counts: np.ndarray, q_tilt: float, defensive: float
+    law: LineLaw,
+    counts: np.ndarray,
+    row_max: np.ndarray,
+    q_tilt: float,
+    defensive: float,
 ) -> np.ndarray:
     """Exact per-trial log-likelihood ratio log(P(x)/Q(x)) under the mixture.
 
@@ -266,16 +270,25 @@ def _log_weights(
     ``defensive + (1-defensive) * mean_i exp(ell_i)`` (the binomial
     coefficients cancel inside each ratio), so the weight is its inverse.
     Everything stays in log space; no tilt magnitude can overflow.
+
+    ``ell`` depends on a word only through its count, so it is a table
+    over the counts present (``row_max`` is each row's largest), and so is
+    ``exp(ell[c] - ell[p])`` for a row peaking at count ``p``: each word's
+    term is a gather, summed per row in word order exactly as a dense
+    evaluation of the same expression sums it.
     """
     a = math.log(q_tilt) - math.log(law.q)
     b = math.log1p(-q_tilt) - math.log1p(-law.q)
-    ell = counts * a + (law.n - counts) * b  # (trials, words)
-    peak = ell.max(axis=1)
-    log_mix = (
-        peak
-        + np.log(np.exp(ell - peak[:, None]).sum(axis=1))
-        - math.log(law.words)
-    )
+    span = np.arange(int(row_max.max()) + 1)
+    ell = span * a + (law.n - span) * b
+    # log and log1p are monotone, so a >= b means a >= 0 >= b: both terms,
+    # hence ell, are non-decreasing in c even after rounding, and a row
+    # peaks at its largest count.  Otherwise ell is non-increasing.
+    peak_count = row_max if a >= b else counts.min(axis=1)
+    shift = ell[None, :] - ell[:, None]  # [p, c]: ell[c] relative to peak p
+    scaled = np.exp(shift, out=np.zeros_like(shift), where=shift <= 0.0)
+    terms = scaled[peak_count[:, None], counts]
+    log_mix = ell[peak_count] + np.log(terms.sum(axis=1)) - math.log(law.words)
     if defensive > 0.0:
         log_ratio = np.logaddexp(
             math.log(defensive), math.log1p(-defensive) + log_mix
@@ -285,33 +298,58 @@ def _log_weights(
     return -log_ratio
 
 
-def _sample_word_states(
+def _failing_word_states(
     rng: np.random.Generator, law: LineLaw, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, bad) per word given counts, one uniform draw per word."""
-    clipped = np.minimum(counts, len(law.p_flag) - 1)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, word, flagged, bad) of every word whose count can fail it.
+
+    One uniform is drawn per word, so the stream is that of classifying
+    every word; only words at or past the table's first count with any
+    failure mass are classified, since below it ``p_flag`` and ``p_bad``
+    are 0 and no uniform falls under them.
+    """
     u = rng.random(counts.shape)
+    at_risk = np.flatnonzero(counts >= _k_fail(law.p_flag, law.p_bad))
+    rows, words = np.divmod(at_risk, counts.shape[1])
+    clipped = np.minimum(counts.ravel()[at_risk], len(law.p_flag) - 1)
+    u = u.ravel()[at_risk]
     flagged = u < law.p_flag[clipped]
     bad = (~flagged) & (u < law.p_flag[clipped] + law.p_bad[clipped])
-    return flagged, bad
+    return rows, words, flagged, bad
 
 
-def _combine_outcomes(
-    law: LineLaw, counts: np.ndarray, flagged: np.ndarray, bad: np.ndarray
+def _line_outcomes(
+    law: LineLaw,
+    touched: np.ndarray,
+    rows: np.ndarray,
+    words: np.ndarray,
+    flagged: np.ndarray,
+    bad: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Line outcome masks from per-word states, per the scheme's rule."""
-    touched = counts.sum(axis=1) > 0
+    """Line outcome masks from the failing words' states, per the scheme's rule.
+
+    ``touched`` marks the trials with any error; the other arguments are
+    :func:`_failing_word_states`'s.
+    """
+    trials = touched.size
+
+    def any_of(selected: np.ndarray) -> np.ndarray:
+        hit = np.zeros(trials, dtype=bool)
+        hit[rows[selected]] = True
+        return hit
+
     if law.combine == COMBINE_FLAG_DUE:
-        due = flagged.any(axis=1)
-        sdc = ~due & bad.any(axis=1)
+        due = any_of(flagged)
+        sdc = ~due & any_of(bad)
     elif law.combine == COMBINE_XED:
         data = law.words - 1  # last word is the parity chip
-        n_flags = flagged.sum(axis=1)
+        n_flags = np.bincount(rows[flagged], minlength=trials)
         due = n_flags >= 2
         one = n_flags == 1
-        lane = flagged.argmax(axis=1)
-        any_bad = bad.any(axis=1)
-        any_data_bad = bad[:, :data].any(axis=1)
+        lane = np.zeros(trials, dtype=np.int64)
+        lane[rows[flagged]] = words[flagged]  # the flagged word where one
+        any_bad = any_of(bad)
+        any_data_bad = any_of(bad & (words < data))
         sdc = ~due & (
             (one & (lane < data) & any_bad)
             | (one & (lane == data) & any_data_bad)
@@ -366,9 +404,9 @@ def rareevent_chunk_tally(
     take_tilt = arm >= defensive
     counts[take_tilt, word[take_tilt]] = tilted[take_tilt]
 
-    log_w = _log_weights(law, counts, q_tilt, defensive)
-    flagged, bad = _sample_word_states(rng, law, counts)
-    masks = _combine_outcomes(law, counts, flagged, bad)
+    row_max = counts.max(axis=1)
+    log_w = _log_weights(law, counts, row_max, q_tilt, defensive)
+    masks = _line_outcomes(law, row_max > 0, *_failing_word_states(rng, law, counts))
 
     weighted = weighted_tally(
         {name: int(mask.sum()) for name, mask in masks.items()},

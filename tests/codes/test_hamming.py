@@ -4,9 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codes import DecodeStatus, HammingSEC, HsiaoSECDED
+from repro.codes.hamming import STATUSES
 from repro.galois import linalg2
+
+CODES = {"sec": HammingSEC(136, 128), "secded": HsiaoSECDED(72, 64)}
 
 
 class TestHammingSEC:
@@ -149,3 +154,37 @@ class TestHsiaoSECDED:
             else:
                 outcomes["det"] += 1
         assert outcomes["mis"] > 0  # the SDC path the XED/rank models measure
+
+
+class TestArrayDecode:
+    """decode_array, decode_batch and decode are one decoder seen three ways."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        name=st.sampled_from(sorted(CODES)),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.005, 0.02, 0.1, 0.5]),
+    )
+    def test_array_equals_batch_equals_scalar(self, name, seed, rows, density):
+        code = CODES[name]
+        rng = np.random.default_rng(seed)
+        codewords = np.stack([code.encode(rng.integers(0, 2, code.k)) for _ in range(rows)])
+        words = codewords ^ (rng.random(codewords.shape) < density).astype(np.uint8)
+        out = code.decode_array(words)
+        batch = code.decode_batch(words)
+        assert out.status.shape == out.position.shape == (rows,)
+        assert out.data.shape == (rows, code.k)
+        for i, word in enumerate(words):
+            scalar = code.decode(word)
+            for result in (batch[i], scalar):
+                assert result.status is STATUSES[out.status[i]]
+                assert np.array_equal(result.data, out.data[i])
+                flipped = (out.position[i],) if out.position[i] >= 0 else ()
+                assert result.corrected_positions == flipped
+            if scalar.status is DecodeStatus.CORRECTED:
+                fixed = word.copy()
+                fixed[out.position[i]] ^= 1
+                assert not linalg2.matvec(code.H, fixed).any()
+            elif scalar.status is DecodeStatus.OK:
+                assert not linalg2.matvec(code.H, word).any()

@@ -35,6 +35,27 @@ class TestFactory:
             build_model(Fake())
 
 
+class TestSweep:
+    @pytest.mark.parametrize("name", ["no-ecc", "iecc-sec", "xed", "duo", "pair"])
+    def test_sweep_evaluates_each_ber_once(self, models, name, monkeypatch):
+        model = models[name]
+        bers = [1e-7, 1e-5, 1e-4, 1e-3]
+        expected = [model.line_probs(p) for p in bers]
+        calls = []
+        line_probs = model.line_probs
+
+        def counted(ber):
+            calls.append(ber)
+            return line_probs(ber)
+
+        monkeypatch.setattr(model, "line_probs", counted)
+        curves = model.sweep(bers)
+        assert calls == bers
+        assert list(curves["ber"]) == bers
+        assert list(curves["sdc"]) == [row["sdc"] for row in expected]
+        assert list(curves["due"]) == [row["due"] for row in expected]
+
+
 class TestClosedForms:
     def test_no_ecc_exact(self, models):
         p = 1e-6

@@ -37,13 +37,17 @@ from repro.reliability import (
     weighted_summary,
 )
 from repro.reliability.rareevent import (
+    _RNG_TAG_IS,
+    COMBINE_FLAG_DUE,
+    COMBINE_XED,
     auto_tilt,
     rareevent_chunk_tally,
     require_pure_ber,
     resolve_tilt,
     tilted_rate,
 )
-from repro.schemes import Duo, NoEcc, PairScheme, Xed
+from repro.reliability.stats import weighted_tally
+from repro.schemes import ConventionalIecc, Duo, NoEcc, PairScheme, Xed
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
 
@@ -161,7 +165,114 @@ class TestDegenerateTilt:
             )
 
 
+# -- dense oracle of one tilted chunk ------------------------------------------
+#
+# The engine classifies only the words that can fail and gathers log-weights
+# from per-count tables.  This is the direct evaluation it must reproduce
+# bit for bit: every word classified, every log-weight computed elementwise.
+
+
+def dense_log_weights(law, counts, q_tilt, defensive):
+    a = math.log(q_tilt) - math.log(law.q)
+    b = math.log1p(-q_tilt) - math.log1p(-law.q)
+    ell = counts * a + (law.n - counts) * b  # (trials, words)
+    peak = ell.max(axis=1)
+    log_mix = (
+        peak
+        + np.log(np.exp(ell - peak[:, None]).sum(axis=1))
+        - math.log(law.words)
+    )
+    if defensive > 0.0:
+        log_ratio = np.logaddexp(
+            math.log(defensive), math.log1p(-defensive) + log_mix
+        )
+    else:
+        log_ratio = log_mix
+    return -log_ratio
+
+
+def dense_word_states(rng, law, counts):
+    clipped = np.minimum(counts, len(law.p_flag) - 1)
+    u = rng.random(counts.shape)
+    flagged = u < law.p_flag[clipped]
+    bad = (~flagged) & (u < law.p_flag[clipped] + law.p_bad[clipped])
+    return flagged, bad
+
+
+def dense_outcomes(law, counts, flagged, bad):
+    touched = counts.sum(axis=1) > 0
+    if law.combine == COMBINE_FLAG_DUE:
+        due = flagged.any(axis=1)
+        sdc = ~due & bad.any(axis=1)
+    else:
+        assert law.combine == COMBINE_XED
+        data = law.words - 1
+        n_flags = flagged.sum(axis=1)
+        due = n_flags >= 2
+        one = n_flags == 1
+        lane = flagged.argmax(axis=1)
+        any_bad = bad.any(axis=1)
+        any_data_bad = bad[:, :data].any(axis=1)
+        sdc = ~due & (
+            (one & (lane < data) & any_bad)
+            | (one & (lane == data) & any_data_bad)
+            | ((n_flags == 0) & any_data_bad)
+        )
+    ce = touched & ~due & ~sdc
+    ok = ~touched & ~due & ~sdc
+    return {"ok": ok, "ce": ce, "due": due, "sdc": sdc}
+
+
+def dense_chunk(law, seed, trials, tilt, defensive):
+    """(outcome counts, weighted accumulator) of chunk 0, densely."""
+    q_tilt = tilted_rate(law.q, tilt)
+    rng = np.random.default_rng([seed, _RNG_TAG_IS, 0])
+    arm = rng.random(trials)
+    word = rng.integers(law.words, size=trials)
+    counts = rng.binomial(law.n, law.q, size=(trials, law.words))
+    tilted = rng.binomial(law.n, q_tilt, size=trials)
+    take_tilt = arm >= defensive
+    counts[take_tilt, word[take_tilt]] = tilted[take_tilt]
+    log_w = dense_log_weights(law, counts, q_tilt, defensive)
+    masks = dense_outcomes(law, counts, *dense_word_states(rng, law, counts))
+    return (
+        {name: int(mask.sum()) for name, mask in masks.items()},
+        weighted_tally(
+            {name: int(mask.sum()) for name, mask in masks.items()},
+            {name: log_w[mask] for name, mask in masks.items()},
+            estimator="is", tilt=tilt, defensive=defensive,
+        ),
+    )
+
+
+class TestSparseSamplerMatchesDenseOracle:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        factory=st.sampled_from([PairScheme, Duo, Xed, ConventionalIecc, NoEcc]),
+        ber=st.floats(3e-5, 1e-3),
+        tilt=st.one_of(st.just("auto"), st.floats(-4.0, 12.0)),
+        defensive=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical(self, factory, ber, tilt, defensive, seed, get_scheme):
+        scheme = get_scheme(factory)
+        law = line_law(scheme, ber, samples=100)
+        tilt = resolve_tilt(tilt, law)
+        trials = 3_000
+        tally = rareevent_chunk_tally(
+            scheme, iid_rates(ber), ExactRunConfig(trials=trials, seed=seed),
+            {"start": 0, "trials": trials, "tilt": tilt, "defensive": defensive,
+             "samples": 100, "table_seed": 0},
+        )
+        counts, weighted = dense_chunk(law, seed, trials, tilt, defensive)
+        assert counts == {"ok": tally.ok, "ce": tally.ce, "due": tally.due,
+                          "sdc": tally.sdc}
+        assert weighted == tally.extra["weighted"]
+
+
 class TestLogWeightStability:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @SETTINGS
     @given(tilt=st.sampled_from([6.0, 9.0, 12.0, -4.0]))
     def test_extreme_tilts_keep_finite_log_weights(self, tilt, get_scheme):

@@ -32,6 +32,22 @@ class TestReliability:
         assert "1e-04" in out
 
 
+class TestRareEvent:
+    def test_analytic_reference_uses_the_samplers_tables(self, capsys):
+        # --seed drives the sampling; the analytic reference must come from
+        # the bit-code tables the sampler read (table seed 0), not seed 7
+        import json
+
+        from repro.reliability import build_model
+        from repro.schemes import Xed
+
+        main(["rareevent", "--schemes", "xed", "--ber", "1e-4",
+              "--trials", "20000", "--samples", "300", "--seed", "7", "--json"])
+        row = json.loads(capsys.readouterr().out)["schemes"]["xed"]
+        ref = build_model(Xed(), samples=300, seed=0).line_probs(1e-4)
+        assert row["analytic_fail"] == ref["sdc"] + ref["due"]
+
+
 class TestPerf:
     def test_single_workload(self, capsys):
         main(["perf", "--workloads", "balanced", "--schemes", "pair", "xed"])

@@ -1,23 +1,29 @@
 """Supervised chunk execution: timeouts, retry with backoff, degradation.
 
-Each chunk runs in its own worker *process* (crash isolation: an OOM kill
-or segfault loses one attempt, not the campaign).  The supervisor keeps at
-most ``workers`` chunks in flight and watches each through three channels:
+Chunks run in worker *processes* (crash isolation: an OOM kill or segfault
+loses one attempt, not the campaign).  Each of the ``workers`` slots keeps
+one long-lived worker, forked on first use, which receives the scheme,
+rates, config and chaos schedule once and then serves ``(spec, attempt,
+engine)`` requests over a duplex pipe.  The supervisor blocks on the worker
+pipes and process sentinels until the nearest chunk deadline or backoff
+ready time, and watches each attempt through three channels:
 
-* a result pipe  - the worker reports a tally or a structured error;
+* the pipe       - the worker reports a tally or a structured error;
 * process health - a dead process with no result is a ``crash``;
 * a deadline     - a worker past its per-chunk timeout is terminated
   (``timeout``), because a hung chunk must not starve the campaign.
 
-Failed attempts are retried up to ``retries`` extra times with exponential
-backoff plus deterministic jitter (seeded generator - the REPRO101/102
-rules apply here too; jitter affects only sleep lengths, never tallies).
-A failure that *raised from the engine* (or produced a numerically invalid
-tally) retries on the sequential fallback engine instead - graceful
-degradation from the vectorized kernels to the scalar path, which is
-bit-identical by the conformance contract.  Chunks that exhaust their
-budget are quarantined through a callback and surfaced, never silently
-dropped.
+A worker that served a failed attempt is retired, so every retry runs in a
+fresh process; a worker that dies while idle is replaced without charging
+any chunk.  Failed attempts are retried up to ``retries`` extra times with
+exponential backoff plus deterministic jitter (seeded generator - the
+REPRO101/102 rules apply here too; jitter affects only wait lengths, never
+tallies).  A failure that *raised from the engine* (or produced a
+numerically invalid tally) retries on the sequential fallback engine
+instead - graceful degradation from the vectorized kernels to the scalar
+path, which is bit-identical by the conformance contract.  Chunks that
+exhaust their budget are quarantined through a callback and surfaced,
+never silently dropped.
 
 Scheduling order never affects results: chunks are deterministic and
 tallies merge commutatively, so ``workers=4`` equals ``workers=1`` equals
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.util
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -68,6 +76,8 @@ _C_FAILURES = {
     for kind in (FAIL_CRASH, FAIL_TIMEOUT, FAIL_RAISE, FAIL_NUMERICAL)
 }
 _C_KILL_ESCALATIONS = _obs.counter("campaign.kill_escalations")
+_C_WORKER_LAUNCHES = _obs.counter("campaign.worker_launches")
+_C_WORKER_RETIREMENTS = _obs.counter("campaign.worker_retirements")
 _H_BACKOFF = _obs.histogram("campaign.backoff_wait_s", _obs.DURATION_BUCKETS_S)
 
 
@@ -80,9 +90,12 @@ class SupervisorPolicy:
     retries: int = 2  # extra attempts after the first
     backoff: float = 0.5  # base backoff, seconds (doubles per attempt)
     backoff_cap: float = 30.0
-    poll_interval: float = 0.02
     term_grace: float = 5.0  # SIGTERM -> SIGKILL escalation window, seconds
     manifest_save_every: int = 8  # manifest debounce (see Manifest.save_every)
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -107,10 +120,17 @@ class _Job:
     spec: ChunkSpec
     attempt: int
     engine: str
-    process: multiprocessing.process.BaseProcess
-    conn: Any  # Connection (parent's receive end)
     deadline: float
-    started: float = 0.0  # monotonic launch time (for the chunk span)
+    started: float  # monotonic dispatch time (for the chunk span)
+
+
+@dataclass
+class _Worker:
+    """One slot's long-lived worker process; ``job`` is None while idle."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: Any  # Connection (parent's end of the duplex pipe)
+    job: _Job | None = None
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -142,47 +162,54 @@ def terminate_worker(process: multiprocessing.process.BaseProcess,
     return True
 
 
-def _worker_entry(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
-                  config: ExactRunConfig, spec: ChunkSpec, engine: str,
-                  chaos: ChaosSchedule | None, attempt: int,
-                  obs_enabled: bool = False,
-                  backend: str | None = None) -> None:
-    """Worker-process body: chaos hooks, chunk execution, result report.
+def _worker_loop(conn: Any, kind: str, scheme: EccScheme, rates: FaultRates,
+                 config: ExactRunConfig, chaos: ChaosSchedule | None,
+                 obs_enabled: bool, backend: str) -> None:
+    """Worker-process body: serve ``(spec, attempt, engine)`` requests.
 
-    When the parent has observability on, the worker resets its (possibly
-    fork-inherited) registry, records the chunk's own metrics, and ships the
-    snapshot back alongside the counts; the parent absorbs it, so worker
-    metrics merge into one process-local view exactly like tallies merge.
+    Each request runs the chaos hooks and the chunk, then reports one frame;
+    the loop ends when the supervisor closes its end of the pipe.  When the
+    parent has observability on, the worker resets its (possibly
+    fork-inherited) registry before each chunk, records that chunk's own
+    metrics, and ships the snapshot back alongside the counts; the parent
+    absorbs it, so worker metrics merge into one process-local view exactly
+    like tallies merge, one chunk per snapshot.
 
     ``backend`` is the parent's active GF kernel backend name; the chunk
     executor pins it (leniently) so workers inherit the parent's selection
     under both fork and spawn start methods.
     """
     try:
-        if obs_enabled:
-            _obs.reset()
-            _obs_trace.reset()
-            _obs.enable()
-        if chaos is not None:
-            chaos.fire_pre_execute(spec.index, attempt, engine)
-        tally = execute_chunk(kind, scheme, rates, config, spec, engine, backend)
-        if chaos is not None:
-            tally = chaos.corrupt_tally(spec.index, attempt, tally)
-        snap = (
-            _obs.snapshot(f"chunk-{spec.index}-attempt-{attempt}")
-            if obs_enabled
-            else None
-        )
-        # 4th element: engine-specific tally sidecar (the rare-event
-        # engine's weighted accumulator); None for count-only chunks, so
-        # the frame shape stays backward-compatible.
-        conn.send(("ok", (tally.ok, tally.ce, tally.due, tally.sdc), snap,
-                   tally.extra.get("weighted")))
-    except BaseException as exc:  # report, don't propagate: parent classifies
-        try:
-            conn.send(("error", type(exc).__name__, str(exc)))
-        except OSError:
-            pass
+        while True:
+            try:
+                spec, attempt, engine = conn.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                return  # the supervisor closed the pipe (or ^C): shut down
+            try:
+                if obs_enabled:
+                    _obs.reset()
+                    _obs_trace.reset()
+                    _obs.enable()
+                if chaos is not None:
+                    chaos.fire_pre_execute(spec.index, attempt, engine)
+                tally = execute_chunk(kind, scheme, rates, config, spec, engine,
+                                      backend)
+                if chaos is not None:
+                    tally = chaos.corrupt_tally(spec.index, attempt, tally)
+                snap = (
+                    _obs.snapshot(f"chunk-{spec.index}-attempt-{attempt}")
+                    if obs_enabled
+                    else None
+                )
+                # 4th element: engine-specific tally sidecar (the rare-event
+                # engine's weighted accumulator); None for count-only chunks.
+                conn.send(("ok", (tally.ok, tally.ce, tally.due, tally.sdc), snap,
+                           tally.extra.get("weighted")))
+            except BaseException as exc:  # report, don't propagate: parent classifies
+                try:
+                    conn.send(("error", type(exc).__name__, str(exc)))
+                except OSError:
+                    return
     finally:
         conn.close()
 
@@ -213,7 +240,7 @@ class Supervisor:
         # kernel backend the parent resolved; a perf knob, never a result knob
         self.backend = active_backend().name
         self._ctx = _mp_context()
-        # deterministic jitter: affects sleep lengths only, never results
+        # deterministic jitter: affects wait lengths only, never results
         self._jitter_rng = np.random.default_rng([config.seed, 0xBAC0FF])
 
     # -- lifecycle -------------------------------------------------------------
@@ -226,104 +253,129 @@ class Supervisor:
             (0.0, spec.index, spec, 0, ENGINE_BATCHED) for spec in specs
         ]
         heapq.heapify(pending)
-        active: list[_Job] = []
+        pool: list[_Worker] = []
         try:
-            while pending or active:
-                now = time.monotonic()
-                while (
-                    pending
-                    and len(active) < self.policy.workers
-                    and pending[0][0] <= now
-                ):
-                    _, _, spec, attempt, engine = heapq.heappop(pending)
-                    active.append(self._launch(spec, attempt, engine))
-                progressed = self._reap(active, pending, outcomes)
-                if not progressed and (pending or active):
-                    time.sleep(self.policy.poll_interval)
+            while pending or any(w.job is not None for w in pool):
+                self._dispatch(pool, pending)
+                self._collect(pool, pending, outcomes, self._wait(pool, pending))
         finally:
-            for job in active:
-                self._terminate(job)
+            for worker in pool:
+                self._stop(worker)
         return outcomes
 
-    def _launch(self, spec: ChunkSpec, attempt: int, engine: str) -> _Job:
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
+    def _dispatch(self, pool: list[_Worker], pending: list) -> None:
+        """Hand every ready attempt to an idle worker or a newly forked one."""
+        busy = sum(w.job is not None for w in pool)
+        while pending and busy < self.policy.workers and pending[0][0] <= time.monotonic():
+            _, _, spec, attempt, engine = heapq.heappop(pending)
+            worker = self._idle_worker(pool) or self._launch(pool)
+            started = time.monotonic()
+            worker.job = _Job(spec=spec, attempt=attempt, engine=engine,
+                              deadline=started + self.policy.timeout,
+                              started=started)
+            busy += 1
+            try:
+                worker.conn.send((spec, attempt, engine))
+            except OSError:
+                pass  # died since the liveness check: its sentinel reports a crash
+
+    def _idle_worker(self, pool: list[_Worker]) -> _Worker | None:
+        """A live idle worker, retiring any that died while idle."""
+        for worker in [w for w in pool if w.job is None]:
+            if worker.process.is_alive():
+                return worker
+            self._retire(pool, worker)
+        return None
+
+    def _launch(self, pool: list[_Worker]) -> _Worker:
+        conn, child_conn = self._ctx.Pipe(duplex=True)
+        # every later fork (this worker and its siblings included) closes its
+        # copy of the parent's end, so a worker reads EOF once the supervisor
+        # closes it - or dies - instead of blocking forever
+        multiprocessing.util.register_after_fork(conn, type(conn).close)
         process = self._ctx.Process(
-            target=_worker_entry,
-            args=(send_conn, self.kind, self.scheme, self.rates, self.config,
-                  spec, engine, self.chaos, attempt, _obs.enabled(),
-                  self.backend),
+            target=_worker_loop,
+            args=(child_conn, self.kind, self.scheme, self.rates, self.config,
+                  self.chaos, _obs.enabled(), self.backend),
             daemon=True,
         )
         process.start()
-        send_conn.close()  # parent keeps only the receive end
-        started = time.monotonic()
-        return _Job(
-            spec=spec, attempt=attempt, engine=engine, process=process,
-            conn=recv_conn, deadline=started + self.policy.timeout,
-            started=started,
-        )
+        child_conn.close()  # the parent keeps only its own end
+        if _obs.enabled():
+            _C_WORKER_LAUNCHES.add(1)
+        worker = _Worker(process=process, conn=conn)
+        pool.append(worker)
+        return worker
 
-    def _terminate(self, job: _Job) -> None:
-        """Stop a worker: SIGTERM, bounded grace, then SIGKILL and reap.
+    def _wait(self, pool: list[_Worker], pending: list) -> set:
+        """Block until a worker reports or dies, a deadline passes, or a
+        backed-off attempt becomes ready for a free slot."""
+        busy = [w for w in pool if w.job is not None]
+        wake = [w.job.deadline for w in busy if w.job is not None]
+        if pending and len(busy) < self.policy.workers:
+            wake.append(pending[0][0])
+        timeout = max(0.0, min(wake) - time.monotonic())
+        objects = [w.process.sentinel for w in pool] + [w.conn for w in busy]
+        return set(multiprocessing.connection.wait(objects, timeout))
 
-        A worker that ignores (or is too wedged to service) SIGTERM would
-        otherwise survive ``join(timeout=...)`` as a zombie-to-be holding
-        its pipe end open; the escalation guarantees the process is gone
-        before the supervisor moves on, and counts how often the hard path
-        was needed.
-        """
-        terminate_worker(job.process, self.policy.term_grace)
-        job.conn.close()
+    def _stop(self, worker: _Worker) -> None:
+        """Stop a worker: an idle one exits on EOF, a busy or wedged one is
+        terminated (SIGTERM, bounded grace, then SIGKILL) and reaped."""
+        worker.conn.close()
+        if worker.job is None:
+            worker.process.join(self.policy.term_grace)
+        terminate_worker(worker.process, self.policy.term_grace)
+
+    def _retire(self, pool: list[_Worker], worker: _Worker) -> None:
+        """Take a failed or dead worker out of the pool before the run ends."""
+        pool.remove(worker)
+        self._stop(worker)
+        if _obs.enabled():
+            _C_WORKER_RETIREMENTS.add(1)
 
     # -- event handling --------------------------------------------------------
 
-    def _reap(self, active: list[_Job], pending: list,
-              outcomes: dict[int, ChunkOutcome]) -> bool:
-        """Collect finished/dead/overdue jobs; returns True if any progressed."""
-        progressed = False
-        for job in list(active):
+    def _collect(self, pool: list[_Worker], pending: list,
+                 outcomes: dict[int, ChunkOutcome], ready: set) -> None:
+        """Settle every worker that reported, died or overran its deadline."""
+        for worker in list(pool):
+            job = worker.job
+            if job is None:
+                if worker.process.sentinel in ready:
+                    self._retire(pool, worker)  # died idle: no chunk to charge
+                continue
             message = None
-            if job.conn.poll():
+            if worker.conn in ready:
                 try:
-                    message = job.conn.recv()
+                    message = worker.conn.recv()
                 except (EOFError, OSError):
-                    message = None  # died between poll and recv: treat as crash
+                    pass  # died before reporting: a crash
             if message is not None:
-                active.remove(job)
-                job.process.join()
-                job.conn.close()
-                self._handle_message(job, message, pending, outcomes)
-                progressed = True
-            elif not job.process.is_alive():
-                active.remove(job)
-                job.process.join()
-                job.conn.close()
-                code = job.process.exitcode
+                worker.job = None  # idle again, so an abort in a callback reaps it
+                if not self._handle_message(job, message, pending, outcomes):
+                    self._retire(pool, worker)
+            elif worker.conn in ready or worker.process.sentinel in ready:
+                self._retire(pool, worker)
                 self._handle_failure(
                     job, FAIL_CRASH,
-                    f"worker process died (exit code {code}) running chunk "
-                    f"{job.spec.index} (seed={job.spec.seed})",
+                    f"worker process died (exit code {worker.process.exitcode}) "
+                    f"running chunk {job.spec.index} (seed={job.spec.seed})",
                     pending, outcomes,
                 )
-                progressed = True
             elif time.monotonic() > job.deadline:
-                active.remove(job)
-                self._terminate(job)
+                self._retire(pool, worker)
                 self._handle_failure(
                     job, FAIL_TIMEOUT,
                     f"chunk {job.spec.index} (seed={job.spec.seed}) exceeded "
                     f"its {self.policy.timeout:.1f}s budget and was terminated",
                     pending, outcomes,
                 )
-                progressed = True
-        return progressed
 
     def _handle_message(self, job: _Job, message: tuple, pending: list,
-                        outcomes: dict[int, ChunkOutcome]) -> None:
+                        outcomes: dict[int, ChunkOutcome]) -> bool:
+        """Settle a reported attempt; returns True when it succeeded."""
         if message[0] == "ok":
-            counts = message[1]
-            snap = message[2] if len(message) > 2 else None
-            weighted = message[3] if len(message) > 3 else None
+            _, counts, snap, weighted = message
             context = f"chunk {job.spec.index} (seed={job.spec.seed})"
             try:
                 guard_tally(counts, expected_total=job.spec.trials, context=context)
@@ -332,7 +384,7 @@ class Supervisor:
                                    context=context)
             except NumericalGuard as exc:
                 self._handle_failure(job, FAIL_NUMERICAL, str(exc), pending, outcomes)
-                return
+                return False
             tally = Tally(ok=counts[0], ce=counts[1], due=counts[2], sdc=counts[3],
                           extra={"weighted": weighted} if weighted else {})
             outcome = outcomes[job.spec.index]
@@ -355,14 +407,15 @@ class Supervisor:
                 span_dict = rec.as_dict() if rec is not None else None
             if self.on_success is not None:
                 self.on_success(job.spec, tally, job.attempt + 1, job.engine, span_dict)
-        else:
-            _, exc_type, exc_message = message
-            self._handle_failure(
-                job, FAIL_RAISE,
-                f"chunk {job.spec.index} (seed={job.spec.seed}) raised "
-                f"{exc_type}: {exc_message}",
-                pending, outcomes,
-            )
+            return True
+        _, exc_type, exc_message = message
+        self._handle_failure(
+            job, FAIL_RAISE,
+            f"chunk {job.spec.index} (seed={job.spec.seed}) raised "
+            f"{exc_type}: {exc_message}",
+            pending, outcomes,
+        )
+        return False
 
     def _handle_failure(self, job: _Job, kind: str, message: str, pending: list,
                         outcomes: dict[int, ChunkOutcome]) -> None:

@@ -6,19 +6,25 @@ enforcement, engine degradation and resume), and its merged tally is
 bit-identical to one uninterrupted sequential run of the same seed.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro import obs
 from repro.campaign import (
     CampaignConfig,
     ChaosSchedule,
     Manifest,
+    Supervisor,
     SupervisorPolicy,
     campaign_status,
     resume_campaign,
     start_campaign,
 )
+from repro.campaign.plan import execute_chunk
 from repro.errors import CampaignAborted, CampaignError, EngineMismatch
 from repro.faults import DEFAULT_RATES, FaultType
+from repro.galois.backends import active_backend
 from repro.reliability import ExactRunConfig, run_iid, run_single_fault
 from repro.schemes import default_schemes
 
@@ -38,8 +44,7 @@ def config(**overrides):
 
 
 def policy(**overrides):
-    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01,
-                poll_interval=0.005)
+    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01)
     base.update(overrides)
     return SupervisorPolicy(**base)
 
@@ -149,6 +154,144 @@ class TestChaosRecovery:
         assert result.quarantined[0].error == "timeout"
 
 
+@pytest.fixture()
+def obs_on():
+    """Observability on with a clean registry; off and empty afterwards."""
+    obs.reset_all()
+    with obs.enabled_scope(True):
+        yield
+    obs.reset_all()
+
+
+def supervisor_counters():
+    counters = obs.snapshot()["counters"]
+    return (counters.get("campaign.worker_launches", 0),
+            counters.get("campaign.worker_retirements", 0))
+
+
+class TestWorkerReuse:
+    """One long-lived worker per slot; any failed attempt retires its worker."""
+
+    TWELVE = dict(trials=12 * CHUNK)
+
+    def test_clean_campaign_launches_one_worker_per_slot(self, tmp_path, obs_on):
+        result = start_campaign(tmp_path, config(**self.TWELVE), policy(workers=2))
+        assert result.complete
+        assert supervisor_counters() == (2, 0)
+
+    def test_crash_retires_the_worker_and_launches_a_fresh_one(
+        self, tmp_path, obs_on
+    ):
+        result = start_campaign(tmp_path, config(**self.TWELVE), policy(workers=2),
+                                ChaosSchedule.parse("crash:1"))
+        assert result.complete
+        assert supervisor_counters() == (3, 1)
+
+    def test_raise_retires_the_worker_that_raised(self, tmp_path, obs_on):
+        result = start_campaign(tmp_path, config(), policy(),
+                                ChaosSchedule.parse("raise:0"))
+        assert result.complete
+        # the worker survived the raise but served a failed attempt, so the
+        # sequential retry ran in a fresh process
+        assert supervisor_counters() == (2, 1)
+
+    def test_idle_worker_death_is_replaced_without_charging_a_chunk(
+        self, reference
+    ):
+        plan = config().build_plan()
+        killed = []
+
+        def kill_idle_worker(spec, tally, attempts, engine, span):
+            if not killed:  # the worker that just reported is idle now
+                (child,) = multiprocessing.active_children()
+                child.kill()
+                child.join()
+                killed.append(child)
+
+        sup = Supervisor("iid", plan.scheme, RATES, plan.config, policy(),
+                         on_success=kill_idle_worker)
+        outcomes = sup.run(list(plan.chunks))
+        assert killed
+        assert all(o.attempts == 1 and not o.failures for o in outcomes.values())
+        merged = outcomes[0].tally
+        for index in range(1, len(outcomes)):
+            merged = merged.merge(outcomes[index].tally)
+        assert counts(merged) == counts(reference)
+        assert not multiprocessing.active_children()
+
+    def test_idle_workers_exit_on_their_own_at_the_end(self):
+        # every fork closes its copies of the parent's pipe ends, so closing
+        # them makes idle workers read EOF and exit 0 rather than be signalled
+        plan = config().build_plan()
+        seen = set()
+
+        def remember_workers(spec, tally, attempts, engine, span):
+            seen.update(multiprocessing.active_children())
+
+        sup = Supervisor("iid", plan.scheme, RATES, plan.config,
+                         policy(workers=2, term_grace=30.0),
+                         on_success=remember_workers)
+        sup.run(list(plan.chunks))
+        assert len(seen) == 2
+        assert [p.exitcode for p in seen] == [0, 0]
+
+
+class TestWorkerLifecycle:
+    """No exit path leaves a worker process behind."""
+
+    def test_normal_run_reaps_workers(self, tmp_path):
+        assert start_campaign(tmp_path, config(), policy(workers=2)).complete
+        assert not multiprocessing.active_children()
+
+    def test_abort_reaps_busy_and_idle_workers(self, tmp_path):
+        with pytest.raises(CampaignAborted):
+            start_campaign(tmp_path, config(), policy(workers=2),
+                           ChaosSchedule.parse("abort:1"))
+        assert not multiprocessing.active_children()
+
+    def test_quarantined_hang_reaps_workers(self, tmp_path):
+        result = start_campaign(tmp_path, config(), policy(workers=2, retries=0,
+                                                           timeout=0.5),
+                                ChaosSchedule.parse("hang:0"))
+        assert sorted(result.quarantined) == [0]
+        assert not multiprocessing.active_children()
+
+
+class TestObsWithReusedWorkers:
+    """Each shipped snapshot covers exactly one chunk, so reused workers
+    cannot double count, and obs never moves the tally."""
+
+    @pytest.fixture(scope="class")
+    def inline_counters(self):
+        plan = config().build_plan()
+        backend = active_backend().name
+        obs.reset_all()
+        with obs.enabled_scope(True):
+            for spec in plan.chunks:
+                execute_chunk("iid", plan.scheme, RATES, plan.config, spec,
+                              backend=backend)
+            counters = obs.snapshot()["counters"]
+        obs.reset_all()
+        return counters
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_absorbed_counters_equal_the_inline_plan(
+        self, tmp_path, reference, inline_counters, workers
+    ):
+        with obs.enabled_scope(False):
+            off = start_campaign(tmp_path / "off", config(), policy(workers=workers))
+        obs.reset_all()
+        with obs.enabled_scope(True):
+            on = start_campaign(tmp_path / "on", config(), policy(workers=workers))
+            counters = obs.snapshot()["counters"]
+        obs.reset_all()
+        assert counts(on.tally) == counts(off.tally) == counts(reference)
+        assert inline_counters["rs.decode.words"] > 0
+        absorbed = {name: value for name, value in counters.items()
+                    if not name.startswith("campaign.")}
+        assert absorbed == inline_counters
+
+
 class TestResumeRefusals:
     def test_mismatched_config_refused(self, tmp_path):
         chaos = ChaosSchedule.parse("abort:1")
@@ -187,6 +330,11 @@ class TestValidation:
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             config(trials=0)
+
+    def test_no_worker_slots_rejected(self):
+        # with no slot nothing could ever run: refuse instead of waiting forever
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            policy(workers=0)
 
     def test_unknown_scheme_surfaces(self, tmp_path):
         with pytest.raises(CampaignError, match="unknown scheme"):

@@ -50,8 +50,7 @@ def config(**overrides):
 
 
 def policy(**overrides):
-    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01,
-                poll_interval=0.005)
+    base = dict(workers=1, timeout=30.0, retries=2, backoff=0.01)
     base.update(overrides)
     return SupervisorPolicy(**base)
 

@@ -224,6 +224,14 @@ class TestObsReportSchema:
         assert payload["counters"]["campaign.chunks_ok"] == 2
         assert payload["counters"]["rs.decode.words"] > 0
         assert "campaign.chunk" in payload["spans"]["aggregates"]
+        # one slot, one reused worker for both chunks
+        assert payload["counters"]["campaign.worker_launches"] == 1
+
+    def test_text_report_shows_worker_launches(self, capsys, obs_campaign):
+        _, export = obs_campaign
+        capsys.readouterr()
+        main(["obs", "report", "--in", str(export)])
+        assert "campaign.worker_launches" in capsys.readouterr().out
 
     def test_from_campaign_directory(self, capsys, obs_campaign):
         path, _ = obs_campaign
